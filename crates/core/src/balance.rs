@@ -15,7 +15,8 @@
 
 use crate::config::{BalanceSolver, CapPolicy, IgpConfig};
 use crate::layer::{layer_partitions, Layering};
-use igp_graph::{CsrGraph, PartId, Partitioning};
+use igp_graph::metrics::move_gain;
+use igp_graph::{CsrGraph, NodeId, PartId, Partitioning, NO_PART};
 use igp_lp::{flow, LpError, LpModel, Simplex};
 
 /// LP size/work accounting (experiment E7).
@@ -194,17 +195,6 @@ pub fn solve_movement(
     }
 }
 
-/// Gain of moving `v` to partition `j` under the *current* assignment:
-/// weighted edges into `j` minus edges into `v`'s own partition.
-pub(crate) fn drain_gain(
-    g: &CsrGraph,
-    part: &Partitioning,
-    v: igp_graph::NodeId,
-    j: PartId,
-) -> i64 {
-    igp_graph::metrics::move_gain(g, part, v, j)
-}
-
 /// Directed partition-adjacency pairs `(i, j)` (an edge of the graph
 /// crosses from `i` to `j`).
 pub fn adjacency_pairs(g: &CsrGraph, assign: &[PartId], p: usize) -> Vec<(PartId, PartId)> {
@@ -285,8 +275,8 @@ pub fn balance(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig) -> Balanc
             match solve_movement(p, &pairs, caps.as_deref(), &s, cfg) {
                 Ok((l, acc)) => {
                     out.work += acc.work;
-                    let moved =
-                        apply_moves(g, part, &layering, &assign, &pairs, &l, cfg.cap_policy);
+                    let moved = apply_moves(g, part, &layering, &assign, &pairs, &l, cfg.cap_policy)
+                        .len() as u64;
                     out.work += moved;
                     out.total_moved += moved;
                     out.stages.push(StageReport {
@@ -321,6 +311,11 @@ pub fn balance(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig) -> Balanc
 /// the corner of the partition nearest `j` instead of scattering dents
 /// along the whole boundary. Under [`CapPolicy::Relaxed`] overflow beyond
 /// the bucket takes further vertices of `i` by (level, id) order.
+/// Returns the moved vertices in move order.
+///
+/// Only the buckets the LP drains are collected, and within each only
+/// the levels up to the `want`-th shallowest are ordered, so the cost is
+/// one pass over the tags plus work proportional to the drained shells.
 fn apply_moves(
     g: &CsrGraph,
     part: &mut Partitioning,
@@ -329,46 +324,64 @@ fn apply_moves(
     pairs: &[(PartId, PartId)],
     l: &[i64],
     policy: CapPolicy,
-) -> u64 {
-    let buckets = layering.buckets(assign_before);
+) -> Vec<NodeId> {
     let p = layering.num_parts;
+    // Bucket of each drained pair, vertices ascending.
+    let mut slot_of = vec![usize::MAX; p * p];
+    for (k, &(i, j)) in pairs.iter().enumerate() {
+        if l[k] > 0 {
+            slot_of[i as usize * p + j as usize] = k;
+        }
+    }
+    let mut buckets: Vec<Vec<NodeId>> = vec![Vec::new(); pairs.len()];
+    for (v, &t) in layering.tag.iter().enumerate() {
+        if t != NO_PART {
+            let k = slot_of[assign_before[v] as usize * p + t as usize];
+            if k != usize::MAX {
+                buckets[k].push(v as NodeId);
+            }
+        }
+    }
     let mut moved_flag = vec![false; g.num_vertices()];
-    let mut moved = 0u64;
+    let mut moved: Vec<NodeId> = Vec::new();
     for (k, &(i, j)) in pairs.iter().enumerate() {
         let want = l[k].max(0) as usize;
         if want == 0 {
             continue;
         }
-        let mut bucket: Vec<igp_graph::NodeId> = buckets[i as usize * p + j as usize].clone();
-        bucket.sort_by_key(|&v| {
-            (
-                layering.level[v as usize],
-                -crate::balance::drain_gain(g, part, v, j),
-                v,
-            )
-        });
-        let mut taken = 0usize;
-        for &v in bucket.iter() {
-            if taken == want {
-                break;
-            }
-            if !moved_flag[v as usize] {
-                moved_flag[v as usize] = true;
-                part.move_vertex(g, v, j);
-                taken += 1;
-                moved += 1;
-            }
+        let mut shell: Vec<(u32, NodeId)> = buckets[k]
+            .iter()
+            .filter(|&&v| !moved_flag[v as usize])
+            .map(|&v| (layering.level[v as usize], v))
+            .collect();
+        let available = shell.len();
+        if available > want {
+            // The drain takes nothing deeper than the `want`-th
+            // shallowest vertex.
+            let (_, &mut (cutoff, _), _) =
+                shell.select_nth_unstable_by_key(want - 1, |&(lv, _)| lv);
+            shell.retain(|&(lv, _)| lv <= cutoff);
         }
+        let mut order: Vec<(u32, i64, NodeId)> = shell
+            .into_iter()
+            .map(|(lv, v)| (lv, -move_gain(g, part, v, j), v))
+            .collect();
+        order.sort_unstable();
+        for &(_, _, v) in order.iter().take(want) {
+            moved_flag[v as usize] = true;
+            part.move_vertex(g, v, j);
+            moved.push(v);
+        }
+        let mut taken = want.min(available);
         if taken < want {
             debug_assert!(
                 policy == CapPolicy::Relaxed,
-                "strict caps guarantee bucket capacity (pair {i}->{j}: want {want}, bucket {})",
-                bucket.len()
+                "strict caps guarantee bucket capacity (pair {i}->{j}: want {want}, bucket {available})"
             );
             // Overflow: any remaining vertices of i, shallowest layer first.
-            let mut rest: Vec<(u32, igp_graph::NodeId)> = (0..g.num_vertices())
+            let mut rest: Vec<(u32, NodeId)> = (0..g.num_vertices())
                 .filter(|&v| assign_before[v] == i && !moved_flag[v])
-                .map(|v| (layering.level[v].min(u32::MAX - 1), v as igp_graph::NodeId))
+                .map(|v| (layering.level[v].min(u32::MAX - 1), v as NodeId))
                 .collect();
             rest.sort_unstable();
             for (_, v) in rest {
@@ -377,8 +390,8 @@ fn apply_moves(
                 }
                 moved_flag[v as usize] = true;
                 part.move_vertex(g, v, j);
+                moved.push(v);
                 taken += 1;
-                moved += 1;
             }
         }
     }
@@ -388,7 +401,120 @@ fn apply_moves(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit;
     use igp_graph::generators;
+    use proptest::prelude::*;
+
+    /// The drain this module replaced: every bucket fully sorted, with the
+    /// gain recomputed inside the comparator. Returns the moved vertices in
+    /// move order.
+    fn apply_moves_reference(
+        g: &CsrGraph,
+        part: &mut Partitioning,
+        layering: &Layering,
+        assign_before: &[PartId],
+        pairs: &[(PartId, PartId)],
+        l: &[i64],
+        policy: CapPolicy,
+    ) -> Vec<NodeId> {
+        let buckets = layering.buckets(assign_before);
+        let p = layering.num_parts;
+        let mut moved_flag = vec![false; g.num_vertices()];
+        let mut moved: Vec<NodeId> = Vec::new();
+        for (k, &(i, j)) in pairs.iter().enumerate() {
+            let want = l[k].max(0) as usize;
+            if want == 0 {
+                continue;
+            }
+            let mut bucket: Vec<NodeId> = buckets[i as usize * p + j as usize].clone();
+            bucket.sort_by_key(|&v| (layering.level[v as usize], -move_gain(g, part, v, j), v));
+            let mut taken = 0usize;
+            for &v in bucket.iter() {
+                if taken == want {
+                    break;
+                }
+                if !moved_flag[v as usize] {
+                    moved_flag[v as usize] = true;
+                    part.move_vertex(g, v, j);
+                    taken += 1;
+                    moved.push(v);
+                }
+            }
+            if taken < want {
+                debug_assert!(
+                    policy == CapPolicy::Relaxed,
+                    "strict caps guarantee bucket capacity (pair {i}->{j}: want {want}, bucket {})",
+                    bucket.len()
+                );
+                // Overflow: any remaining vertices of i, shallowest layer first.
+                let mut rest: Vec<(u32, NodeId)> = (0..g.num_vertices())
+                    .filter(|&v| assign_before[v] == i && !moved_flag[v])
+                    .map(|v| (layering.level[v].min(u32::MAX - 1), v as NodeId))
+                    .collect();
+                rest.sort_unstable();
+                for (_, v) in rest {
+                    if taken == want {
+                        break;
+                    }
+                    moved_flag[v as usize] = true;
+                    part.move_vertex(g, v, j);
+                    taken += 1;
+                    moved.push(v);
+                }
+            }
+        }
+        moved
+    }
+
+    proptest! {
+        #![proptest_config(testkit::config(128))]
+
+        /// The level-cutoff drain moves exactly the vertices of the
+        /// full-sort reference, in the same order. Strict draws counts
+        /// within the caps λ; Relaxed draws counts past the bucket sizes,
+        /// so the overflow path runs too.
+        #[test]
+        fn drain_equals_full_sort(
+            family in 0usize..2,
+            n in 12usize..200,
+            parts in 2usize..6,
+            relaxed in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let g = match family {
+                0 => generators::grid(n / 10 + 2, 10),
+                _ => generators::random_geometric(n, 0.2, seed),
+            };
+            let assign = testkit::jagged_assign(g.num_vertices(), parts, 7, seed);
+            let layering = layer_partitions(&g, &assign, parts);
+            let (policy, pairs) = if relaxed {
+                (CapPolicy::Relaxed, adjacency_pairs(&g, &assign, parts))
+            } else {
+                let pairs = (0..parts as PartId)
+                    .flat_map(|i| (0..parts as PartId).map(move |j| (i, j)))
+                    .filter(|&(i, j)| layering.lambda(i, j) > 0)
+                    .collect();
+                (CapPolicy::Strict, pairs)
+            };
+            let mut h = seed;
+            let l: Vec<i64> = pairs
+                .iter()
+                .map(|&(i, j)| {
+                    h = h.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    let cap = layering.lambda(i, j) as i64;
+                    let bound = if relaxed { cap + 3 } else { cap };
+                    ((h >> 33) as i64 % (bound + 1)) - i64::from(h.is_multiple_of(5))
+                })
+                .collect();
+            let mut fast_part = Partitioning::from_assignment(&g, parts, assign.clone());
+            let mut slow_part = fast_part.clone();
+            let fast = apply_moves(&g, &mut fast_part, &layering, &assign, &pairs, &l, policy);
+            let slow =
+                apply_moves_reference(&g, &mut slow_part, &layering, &assign, &pairs, &l, policy);
+            prop_assert_eq!(&fast, &slow);
+            prop_assert_eq!(fast_part.assignment(), slow_part.assignment());
+        }
+    }
 
     fn cfg(p: usize) -> IgpConfig {
         IgpConfig::new(p)

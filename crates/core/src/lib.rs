@@ -49,3 +49,38 @@ pub use igp_runtime::Backend;
 pub use parallel::ParallelPartitioner;
 pub use partitioner::IncrementalPartitioner;
 pub use report::IgpReport;
+
+/// Fixtures shared by the property tests that check each fast kernel
+/// against the reference it replaced.
+#[cfg(test)]
+mod testkit {
+    use igp_graph::PartId;
+    use proptest::ProptestConfig;
+
+    /// The workspace's deterministic proptest configuration: fixed case
+    /// count, no shrinking, failing seeds persisted and replayed.
+    pub fn config(cases: u32) -> ProptestConfig {
+        ProptestConfig {
+            cases,
+            max_shrink_iters: 0,
+            failure_persistence: Some(std::path::PathBuf::from("tests/regressions")),
+        }
+    }
+
+    /// `n` vertices in `parts` contiguous blocks, with roughly one vertex
+    /// in `sprinkle` relabelled at random: jagged boundaries, stray
+    /// islands and interacting moves for every phase to work on.
+    pub fn jagged_assign(n: usize, parts: usize, sprinkle: u64, seed: u64) -> Vec<PartId> {
+        let nv = n as u64;
+        (0..nv)
+            .map(|v| {
+                let h = (v ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                if h.is_multiple_of(sprinkle) {
+                    (h % parts as u64) as PartId
+                } else {
+                    (v * parts as u64 / nv) as PartId
+                }
+            })
+            .collect()
+    }
+}

@@ -36,7 +36,7 @@
 
 use crate::balance::{adjacency_pairs, integer_targets, scale_surplus};
 use crate::config::{CapPolicy, IgpConfig};
-use crate::layer::layer_one;
+use crate::layer::{layer_one, member_index};
 use crate::psimplex::parallel_simplex;
 use igp_graph::{CsrGraph, IncrementalGraph, NodeId, PartId, Partitioning, INVALID_NODE, NO_PART};
 use igp_lp::{LpError, LpModel};
@@ -323,15 +323,12 @@ fn run_rank<E: Executor>(
         let assign_now = part.assignment().to_vec();
         // Parallel layering: each rank layers owned partitions, then the
         // labels are replicated.
-        let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); p];
-        for (v, &q) in assign_now.iter().enumerate() {
-            members[q as usize].push(v as NodeId);
-        }
+        let (members, local_of) = member_index(&assign_now, p);
         ctx.charge(g.num_vertices() as u64 / w as u64);
         let mut labels_mine: Vec<(NodeId, PartId, u32)> = Vec::new();
         for q in 0..p {
             if owns(q as PartId) {
-                let (labels, work) = layer_one(g, &assign_now, q as PartId, &members[q]);
+                let (labels, work) = layer_one(g, &assign_now, &local_of, q as PartId, &members[q]);
                 ctx.charge(work);
                 labels_mine.extend(labels);
             }

@@ -13,7 +13,9 @@
 //!   chosen moves can always be applied exactly (the paper's per-pair
 //!   counts may overlap on one vertex);
 //! * a whole iteration whose *measured* cut increases (possible because
-//!   batch moves interact) is rolled back, making the phase monotone.
+//!   batch moves interact) is rolled back, making the phase monotone. The
+//!   cut is tracked exactly through every move and undo, so the check
+//!   costs the moved vertices' degrees, not a pass over the graph.
 
 use crate::balance::LpAccounting;
 use crate::config::{BalanceSolver, IgpConfig};
@@ -43,7 +45,9 @@ pub struct RefineOutcome {
     pub iters: Vec<RefineIterReport>,
     /// Total vertices moved (net of rollbacks).
     pub total_moved: u64,
-    /// Total work units.
+    /// Edge scans actually performed (the full cut pass on entry, every
+    /// candidate scan, one per neighbour of each applied or undone move)
+    /// plus the LPs' modeled work.
     pub work: u64,
 }
 
@@ -224,10 +228,35 @@ fn refine_fm(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig, slack: u32)
     }
 }
 
+/// Move `v` to `to` and return the change in the unweighted cut: `+1`
+/// per neighbour left behind in the old part, `−1` per neighbour already
+/// in `to`. Scans `v`'s neighbours once.
+fn move_tracked(g: &CsrGraph, part: &mut Partitioning, v: NodeId, to: PartId) -> i64 {
+    let from = part.part_of(v);
+    if from == to {
+        return 0;
+    }
+    let mut delta = 0i64;
+    for &u in g.neighbors(v) {
+        if u == v {
+            continue; // a self-loop is never cut
+        }
+        let q = part.part_of(u);
+        if q == from {
+            delta += 1;
+        } else if q == to {
+            delta -= 1;
+        }
+    }
+    part.move_vertex(g, v, to);
+    delta
+}
+
 /// The paper's iterative LP-circulation refinement.
 fn refine_lp(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig) -> RefineOutcome {
     let mut out = RefineOutcome::default();
     let mut cut_before = CutMetrics::compute(g, part).total_cut_edges;
+    out.work += g.adjacency().len() as u64;
     for it in 0..cfg.refine.max_iters {
         let strict = it >= cfg.refine.strict_after;
         let (pairs, table, scan_work) = collect_candidates(g, part, strict);
@@ -255,22 +284,26 @@ fn refine_lp(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig) -> RefineOu
                 });
                 break;
             }
-            // Apply (recording undo information).
+            // Apply (recording undo information), tracking the cut.
             let mut undo: Vec<(NodeId, PartId)> = Vec::new();
+            let mut cut = cut_before as i64;
             for (k, &(i, j)) in pairs.iter().enumerate() {
                 let want = l[k].max(0) as usize;
                 for c in table[k].iter().take(want) {
                     undo.push((c.v, i));
-                    part.move_vertex(g, c.v, j);
+                    cut += move_tracked(g, part, c.v, j);
+                    out.work += g.degree(c.v) as u64;
                 }
             }
-            out.work += undo.len() as u64;
-            let cut_after = CutMetrics::compute(g, part).total_cut_edges;
-            out.work += g.num_edges() as u64;
+            let cut_after = cut as u64;
+            debug_assert_eq!(cut_after, CutMetrics::compute(g, part).total_cut_edges);
             if cut_after > cut_before {
                 for &(v, back) in undo.iter().rev() {
-                    part.move_vertex(g, v, back);
+                    cut += move_tracked(g, part, v, back);
+                    out.work += g.degree(v) as u64;
                 }
+                debug_assert_eq!(cut as u64, cut_before);
+                debug_assert_eq!(cut_before, CutMetrics::compute(g, part).total_cut_edges);
                 rolled_back_final = true;
                 for (c, &lv) in caps.iter_mut().zip(&l) {
                     *c = (lv.max(0) as u64) / 2;
@@ -316,7 +349,195 @@ fn refine_lp(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig) -> RefineOu
 #[allow(clippy::identity_op, clippy::erasing_op)]
 mod tests {
     use super::*;
+    use crate::testkit;
     use igp_graph::generators;
+    use proptest::prelude::*;
+
+    /// The refinement this module replaced: a full `CutMetrics::compute`
+    /// after every apply attempt.
+    fn refine_lp_reference(
+        g: &CsrGraph,
+        part: &mut Partitioning,
+        cfg: &IgpConfig,
+    ) -> RefineOutcome {
+        let mut out = RefineOutcome::default();
+        let mut cut_before = CutMetrics::compute(g, part).total_cut_edges;
+        for it in 0..cfg.refine.max_iters {
+            let strict = it >= cfg.refine.strict_after;
+            let (pairs, table, scan_work) = collect_candidates(g, part, strict);
+            out.work += scan_work;
+            if pairs.is_empty() {
+                break;
+            }
+            let mut caps: Vec<u64> = table.iter().map(|t| t.len() as u64).collect();
+            // Damped application: if the whole batch increases the measured
+            // cut (moves interact), roll back, halve the circulation caps and
+            // re-solve — small batches are monotone in the limit.
+            let mut success = false;
+            let mut rolled_back_final = false;
+            for _attempt in 0..5 {
+                let (l, acc) = solve_circulation(cfg.num_parts, &pairs, &caps, cfg);
+                out.work += acc.work;
+                let planned: u64 = l.iter().map(|&x| x.max(0) as u64).sum();
+                if planned == 0 {
+                    out.iters.push(RefineIterReport {
+                        moved: 0,
+                        cut_before,
+                        cut_after: cut_before,
+                        rolled_back: rolled_back_final,
+                        lp: acc,
+                    });
+                    break;
+                }
+                // Apply (recording undo information).
+                let mut undo: Vec<(NodeId, PartId)> = Vec::new();
+                for (k, &(i, j)) in pairs.iter().enumerate() {
+                    let want = l[k].max(0) as usize;
+                    for c in table[k].iter().take(want) {
+                        undo.push((c.v, i));
+                        part.move_vertex(g, c.v, j);
+                    }
+                }
+                out.work += undo.len() as u64;
+                let cut_after = CutMetrics::compute(g, part).total_cut_edges;
+                out.work += g.num_edges() as u64;
+                if cut_after > cut_before {
+                    for &(v, back) in undo.iter().rev() {
+                        part.move_vertex(g, v, back);
+                    }
+                    rolled_back_final = true;
+                    for (c, &lv) in caps.iter_mut().zip(&l) {
+                        *c = (lv.max(0) as u64) / 2;
+                    }
+                    if caps.iter().all(|&c| c == 0) {
+                        out.iters.push(RefineIterReport {
+                            moved: 0,
+                            cut_before,
+                            cut_after: cut_before,
+                            rolled_back: true,
+                            lp: acc,
+                        });
+                        break;
+                    }
+                    continue;
+                }
+                out.total_moved += undo.len() as u64;
+                out.iters.push(RefineIterReport {
+                    moved: undo.len() as u64,
+                    cut_before,
+                    cut_after,
+                    rolled_back: false,
+                    lp: acc,
+                });
+                cut_before = cut_after;
+                success = true;
+                break;
+            }
+            if !success {
+                break;
+            }
+            let last = out.iters.last().unwrap();
+            if last.cut_before - last.cut_after < cfg.refine.min_gain {
+                break;
+            }
+        }
+        out
+    }
+
+    /// A random partition of a grid or a random geometric graph: blocks
+    /// with a sprinkle of random labels, so refinement has dents to fix
+    /// and batch moves that interact.
+    fn jagged(family: usize, n: usize, parts: usize, seed: u64) -> (CsrGraph, Partitioning) {
+        let g = match family {
+            0 => generators::grid(n / 10 + 2, 10),
+            _ => generators::random_geometric(n, 0.2, seed),
+        };
+        let assign = testkit::jagged_assign(g.num_vertices(), parts, 4, seed);
+        let part = Partitioning::from_assignment(&g, parts, assign);
+        (g, part)
+    }
+
+    proptest! {
+        #![proptest_config(testkit::config(128))]
+
+        /// Refinement with the tracked cut makes the same moves, reports
+        /// the same cuts and rolls back the same attempts as the
+        /// recompute-per-attempt reference, under all three solvers.
+        #[test]
+        fn tracked_refine_equals_reference(
+            family in 0usize..2,
+            n in 12usize..120,
+            parts in 2usize..6,
+            solver in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            let (g, base) = jagged(family, n, parts, seed);
+            let mut c = cfg(parts);
+            c.solver = [
+                BalanceSolver::DenseSimplex,
+                BalanceSolver::BoundedSimplex,
+                BalanceSolver::NetworkFlow,
+            ][solver];
+            let (mut fast_part, mut slow_part) = (base.clone(), base);
+            let fast = refine_lp(&g, &mut fast_part, &c);
+            let slow = refine_lp_reference(&g, &mut slow_part, &c);
+            prop_assert_eq!(fast_part.assignment(), slow_part.assignment());
+            prop_assert_eq!(fast.total_moved, slow.total_moved);
+            prop_assert_eq!(fast.iters.len(), slow.iters.len());
+            for (a, b) in fast.iters.iter().zip(&slow.iters) {
+                prop_assert_eq!(
+                    (a.moved, a.cut_before, a.cut_after, a.rolled_back),
+                    (b.moved, b.cut_before, b.cut_after, b.rolled_back)
+                );
+                prop_assert_eq!(&a.lp, &b.lp);
+            }
+        }
+
+        /// The tracked cut equals `CutMetrics::compute` after every batch
+        /// of moves and after every rollback of one.
+        #[test]
+        fn tracked_cut_equals_recompute(
+            family in 0usize..2,
+            n in 12usize..200,
+            parts in 2usize..6,
+            seed in any::<u64>(),
+        ) {
+            let (g, mut part) = jagged(family, n, parts, seed);
+            let nv = g.num_vertices() as u64;
+            let mut cut = CutMetrics::compute(&g, &part).total_cut_edges as i64;
+            let mut h = seed;
+            for batch in 0..6 {
+                let before = cut;
+                let mut undo = Vec::new();
+                for _ in 0..1 + batch * 3 {
+                    h = h.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    let v = ((h >> 33) % nv) as NodeId;
+                    let to = ((h >> 20) % parts as u64) as PartId;
+                    undo.push((v, part.part_of(v)));
+                    cut += move_tracked(&g, &mut part, v, to);
+                }
+                prop_assert_eq!(cut as u64, CutMetrics::compute(&g, &part).total_cut_edges);
+                if batch % 2 == 1 {
+                    for &(v, back) in undo.iter().rev() {
+                        cut += move_tracked(&g, &mut part, v, back);
+                    }
+                    prop_assert_eq!(cut, before);
+                    prop_assert_eq!(cut as u64, CutMetrics::compute(&g, &part).total_cut_edges);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reference_corpus_reaches_rollbacks() {
+        // The refine property must exercise the rollback path.
+        let rolled = (0..64u64).any(|seed| {
+            let (g, mut part) = jagged(0, 30, 4, seed);
+            let out = refine_lp(&g, &mut part, &cfg(4));
+            out.iters.iter().any(|it| it.rolled_back)
+        });
+        assert!(rolled);
+    }
 
     fn cfg(p: usize) -> IgpConfig {
         IgpConfig::new(p)

@@ -56,14 +56,20 @@ enum Driver {
     Parallel(ParallelPartitioner),
 }
 
+/// One repartition, reduced to what the session tracks.
+struct Repartitioned {
+    part: Partitioning,
+    moved: u64,
+    stages: usize,
+    balanced: bool,
+    pivots: u64,
+    /// `(cut edges, count imbalance)` of `part` when the driver already
+    /// measured them.
+    metrics: Option<(u64, f64)>,
+}
+
 impl Driver {
-    /// Repartition, reduced to the summary tuple the session tracks:
-    /// `(moved, stages, balanced, pivots)`.
-    fn repartition(
-        &self,
-        inc: &IncrementalGraph,
-        old: &Partitioning,
-    ) -> (Partitioning, u64, usize, bool, u64) {
+    fn repartition(&self, inc: &IncrementalGraph, old: &Partitioning) -> Repartitioned {
         match self {
             Driver::Sequential(p) => {
                 let (part, report) = p.repartition(inc, old);
@@ -79,23 +85,28 @@ impl Driver {
                             .flat_map(|r| r.iters.iter().map(|i| i.lp.pivots as u64)),
                     )
                     .sum();
-                (
+                Repartitioned {
                     part,
-                    report.total_moved(),
-                    report.num_stages(),
-                    report.balance.balanced,
+                    moved: report.total_moved(),
+                    stages: report.num_stages(),
+                    balanced: report.balance.balanced,
                     pivots,
-                )
+                    metrics: Some((
+                        report.metrics.total_cut_edges,
+                        report.metrics.count_imbalance,
+                    )),
+                }
             }
             Driver::Parallel(p) => {
                 let (part, report) = p.repartition(inc, old);
-                (
+                Repartitioned {
                     part,
-                    report.total_moved,
-                    report.stages,
-                    report.balanced,
-                    report.total_pivots,
-                )
+                    moved: report.total_moved,
+                    stages: report.stages,
+                    balanced: report.balanced,
+                    pivots: report.total_pivots,
+                    metrics: None,
+                }
             }
         }
     }
@@ -155,6 +166,9 @@ pub struct IgpSession {
     prior_steps: usize,
     /// Vertices moved by steps that predate this process.
     prior_moved: u64,
+    /// Cut edges of (`graph`, `part`) when a step just measured them;
+    /// `None` after the partitioning was replaced from outside.
+    last_cut: Option<u64>,
 }
 
 /// Persisted session state consumed by [`IgpSession::rehydrate`]: what
@@ -198,6 +212,7 @@ impl IgpSession {
             base_of_current: base,
             prior_steps: 0,
             prior_moved: 0,
+            last_cut: None,
         }
     }
 
@@ -226,6 +241,7 @@ impl IgpSession {
             base_of_current: base,
             prior_steps: 0,
             prior_moved: 0,
+            last_cut: None,
         }
     }
 
@@ -273,6 +289,7 @@ impl IgpSession {
             base_of_current: seed.base_of_current,
             prior_steps: seed.steps,
             prior_moved: seed.total_moved,
+            last_cut: None,
         }
     }
 
@@ -431,26 +448,28 @@ impl IgpSession {
             "increment does not start from the session's current graph"
         );
         let m = crate::obs::metrics();
-        // Cut-before costs an extra O(n+m) pass over the old graph;
-        // only pay it when recording is on. Timing and counting never
-        // touch the repartition inputs, so results stay bit-identical.
+        // Cut-before is the previous step's cut when the session has it;
+        // otherwise it costs an O(n+m) pass over the old graph, paid
+        // only when recording is on. Timing and counting never touch the
+        // repartition inputs, so results stay bit-identical.
         if igp_obs::enabled() {
-            let before = CutMetrics::compute(inc.old(), &self.part);
-            m.edge_cut_before.set(before.total_cut_edges as i64);
+            let before = self
+                .last_cut
+                .unwrap_or_else(|| CutMetrics::compute(inc.old(), &self.part).total_cut_edges);
+            m.edge_cut_before.set(before as i64);
         }
         let (rep_us, reps) = match self.driver.obs_kind() {
             DriverKind::Sequential => (&m.repartition_us_seq, &m.repartitions_total_seq),
             DriverKind::Parallel => (&m.repartition_us_par, &m.repartitions_total_par),
         };
-        let (new_part, moved, stages, balanced, pivots) =
-            rep_us.time(|| self.driver.repartition(&inc, &self.part));
+        let r = rep_us.time(|| self.driver.repartition(&inc, &self.part));
         reps.inc();
-        m.pivots_total.add(pivots);
-        m.moved_vertices_total.add(moved);
-        if !balanced {
+        m.pivots_total.add(r.pivots);
+        m.moved_vertices_total.add(r.moved);
+        if !r.balanced {
             m.scratch_signals_total.inc();
         }
-        let summary = self.summarize(&inc, &new_part, moved, stages, balanced);
+        let summary = self.summarize(&inc, &r);
         m.edge_cut_after.set(summary.cut as i64);
         // Compose the step's identity map into the birth-relative map.
         let n_new = inc.new_graph().num_vertices();
@@ -462,8 +481,9 @@ impl IgpSession {
             }
         }
         self.base_of_current = base;
-        self.graph = inc.new_graph().clone();
-        self.part = new_part;
+        self.graph = inc.into_new_graph();
+        self.part = r.part;
+        self.last_cut = Some(summary.cut);
         self.needs_scratch |= !summary.balanced;
         self.history.push(summary.clone());
         summary
@@ -474,26 +494,23 @@ impl IgpSession {
     pub fn reset_partitioning(&mut self, part: Partitioning) {
         assert_eq!(part.num_vertices(), self.graph.num_vertices());
         self.part = part;
+        self.last_cut = None;
         self.needs_scratch = false;
     }
 
-    fn summarize(
-        &self,
-        inc: &IncrementalGraph,
-        part: &Partitioning,
-        moved: u64,
-        stages: usize,
-        balanced: bool,
-    ) -> StepSummary {
-        let m = CutMetrics::compute(inc.new_graph(), part);
+    fn summarize(&self, inc: &IncrementalGraph, r: &Repartitioned) -> StepSummary {
+        let (cut, imbalance) = r.metrics.unwrap_or_else(|| {
+            let m = CutMetrics::compute(inc.new_graph(), &r.part);
+            (m.total_cut_edges, m.count_imbalance)
+        });
         StepSummary {
             step: self.prior_steps + self.history.len(),
             num_vertices: inc.new_graph().num_vertices(),
-            cut: m.total_cut_edges,
-            imbalance: m.count_imbalance,
-            moved,
-            stages,
-            balanced,
+            cut,
+            imbalance,
+            moved: r.moved,
+            stages: r.stages,
+            balanced: r.balanced,
         }
     }
 
@@ -532,6 +549,33 @@ mod tests {
         assert!(s.total_moved() > 0);
         assert!(!s.needs_scratch());
         s.partitioning().validate(s.graph()).unwrap();
+    }
+
+    /// The cut and imbalance a step reports without recomputing them
+    /// (the sequential driver's report) and the cut kept for the next
+    /// step's cut-before gauge equal a fresh `CutMetrics::compute`; a
+    /// replaced partitioning drops the kept cut.
+    #[test]
+    fn reused_cuts_equal_recompute() {
+        for workers in [0, 2] {
+            let mut s = start();
+            if workers > 0 {
+                let seed = s.seed();
+                s = IgpSession::rehydrate(seed, IgpConfig::new(4), true, workers);
+            }
+            assert_eq!(s.last_cut, None);
+            for step in 0..3 {
+                let delta = generators::localized_growth_delta(s.graph(), 0, 8, step);
+                let sum = s.apply_delta(&delta);
+                let m = CutMetrics::compute(s.graph(), s.partitioning());
+                assert_eq!(sum.cut, m.total_cut_edges);
+                assert_eq!(sum.imbalance, m.count_imbalance);
+                assert_eq!(s.last_cut, Some(m.total_cut_edges));
+            }
+            let fresh = Partitioning::round_robin(s.graph(), 4);
+            s.reset_partitioning(fresh);
+            assert_eq!(s.last_cut, None);
+        }
     }
 
     #[test]

@@ -151,6 +151,24 @@ impl CsrGraph {
         })
     }
 
+    /// Assemble from raw arrays that already satisfy every invariant
+    /// listed on the type (checked in debug builds).
+    pub(crate) fn from_parts(
+        xadj: Vec<u32>,
+        adj: Vec<NodeId>,
+        ewgt: Vec<Weight>,
+        vwgt: Vec<Weight>,
+    ) -> Self {
+        let g = CsrGraph {
+            xadj,
+            adj,
+            ewgt,
+            vwgt,
+        };
+        debug_assert_eq!(g.validate(), Ok(()));
+        g
+    }
+
     /// Raw CSR offsets (length `n + 1`); useful for external solvers.
     #[inline]
     pub fn xadj(&self) -> &[u32] {
