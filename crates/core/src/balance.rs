@@ -14,7 +14,7 @@
 //! small.
 
 use crate::config::{BalanceSolver, CapPolicy, IgpConfig};
-use crate::layer::{layer_partitions, Layering};
+use crate::layer::{CarriedLayering, Layering};
 use igp_graph::metrics::move_gain;
 use igp_graph::{CsrGraph, NodeId, PartId, Partitioning, NO_PART};
 use igp_lp::{flow, LpError, LpModel, Simplex};
@@ -221,6 +221,19 @@ pub fn adjacency_pairs(g: &CsrGraph, assign: &[PartId], p: usize) -> Vec<(PartId
 
 /// Run the full multi-stage balancing phase, mutating `part` in place.
 pub fn balance(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig) -> BalanceOutcome {
+    balance_carried(g, part, cfg, &mut CarriedLayering::new())
+}
+
+/// [`balance`] with each stage's layering taken from `carried`, which
+/// repairs the layering it kept (from the previous stage or the previous
+/// step) instead of layering every partition again. The result is the
+/// same as [`balance`]'s; only the layering work differs.
+pub fn balance_carried(
+    g: &CsrGraph,
+    part: &mut Partitioning,
+    cfg: &IgpConfig,
+    carried: &mut CarriedLayering,
+) -> BalanceOutcome {
     let p = cfg.num_parts;
     debug_assert_eq!(part.num_parts(), p);
     let targets = integer_targets(part.counts());
@@ -239,8 +252,7 @@ pub fn balance(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig) -> Balanc
             out.balanced = true;
             break;
         }
-        let assign = part.assignment().to_vec();
-        let layering = layer_partitions(g, &assign, p);
+        let (layering, assign) = carried.layer(g, part.assignment(), p);
         out.work += layering.work;
 
         // Variables: movable pairs under the cap policy.
@@ -259,7 +271,7 @@ pub fn balance(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig) -> Balanc
                 }
                 (pr, Some(cp))
             }
-            CapPolicy::Relaxed => (adjacency_pairs(g, &assign, p), None),
+            CapPolicy::Relaxed => (adjacency_pairs(g, assign, p), None),
         };
         if pairs.is_empty() {
             break; // nothing can move (no adjacency) — give up
@@ -275,7 +287,7 @@ pub fn balance(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig) -> Balanc
             match solve_movement(p, &pairs, caps.as_deref(), &s, cfg) {
                 Ok((l, acc)) => {
                     out.work += acc.work;
-                    let moved = apply_moves(g, part, &layering, &assign, &pairs, &l, cfg.cap_policy)
+                    let moved = apply_moves(g, part, layering, assign, &pairs, &l, cfg.cap_policy)
                         .len() as u64;
                     out.work += moved;
                     out.total_moved += moved;
@@ -401,6 +413,7 @@ fn apply_moves(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::layer_partitions;
     use crate::testkit;
     use igp_graph::generators;
     use proptest::prelude::*;

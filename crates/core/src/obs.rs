@@ -1,7 +1,7 @@
 //! Core-layer metrics: repartition wall-clock per driver, simplex pivot
 //! totals, coalesced-batch sizes, edge-cut before/after, from-scratch
-//! signals. Registered into the global igp-obs registry (naming per
-//! DESIGN.md §10.1).
+//! signals, and which path each layering took. Registered into the
+//! global igp-obs registry (naming per DESIGN.md §10.1).
 //!
 //! Everything here is timing and counting only — the instrumentation
 //! must never influence the repartition result, which the replay
@@ -39,6 +39,14 @@ pub struct CoreMetrics {
     /// `igp_core_scratch_signals_total` — steps that raised the paper's
     /// repartition-from-scratch signal (capped balancing infeasible).
     pub scratch_signals_total: Arc<Counter>,
+    /// `igp_core_layerings_total{mode="repair"}` — balance-stage
+    /// layerings repaired from the carried one.
+    pub layerings_repair: Arc<Counter>,
+    /// `igp_core_layerings_total{mode="full"}` — layerings computed from
+    /// scratch (cold start, large change, stateless callers).
+    pub layerings_full: Arc<Counter>,
+    /// `igp_core_layering_repair_vertices` — vertices a repair examined.
+    pub layering_repair_vertices: Arc<Histogram>,
 }
 
 /// The core layer's registered metric handles.
@@ -58,6 +66,13 @@ pub fn metrics() -> &'static CoreMetrics {
                 "igp_core_repartitions_total",
                 "Incremental repartitions executed",
                 vec![("driver", driver.to_string())],
+            )
+        };
+        let layerings = |mode: &str| {
+            r.counter(
+                "igp_core_layerings_total",
+                "Balance-stage layerings, repaired or computed in full",
+                vec![("mode", mode.to_string())],
             )
         };
         CoreMetrics {
@@ -98,6 +113,13 @@ pub fn metrics() -> &'static CoreMetrics {
             scratch_signals_total: r.counter(
                 "igp_core_scratch_signals_total",
                 "Steps where capped balancing gave up (from-scratch signal)",
+                vec![],
+            ),
+            layerings_repair: layerings("repair"),
+            layerings_full: layerings("full"),
+            layering_repair_vertices: r.histogram(
+                "igp_core_layering_repair_vertices",
+                "Vertices examined by one layering repair",
                 vec![],
             ),
         }

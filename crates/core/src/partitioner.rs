@@ -1,8 +1,9 @@
 //! The sequential Incremental Graph Partitioner driver (IGP / IGPR).
 
 use crate::assign::assign_new_vertices;
-use crate::balance::balance;
+use crate::balance::balance_carried;
 use crate::config::IgpConfig;
+use crate::layer::CarriedLayering;
 use crate::refine::refine;
 use crate::report::{IgpReport, PhaseTimings};
 use igp_graph::metrics::CutMetrics;
@@ -70,6 +71,20 @@ impl IncrementalPartitioner {
         inc: &IncrementalGraph,
         old_part: &Partitioning,
     ) -> (Partitioning, IgpReport) {
+        self.repartition_carrying(inc, old_part, &mut CarriedLayering::new())
+    }
+
+    /// [`IncrementalPartitioner::repartition`] with the balance stages'
+    /// layering carried in `carried`: it follows `inc` first, then every
+    /// stage repairs the layering it kept. The partition is the same as
+    /// `repartition`'s; the layering work in the report is what the
+    /// repairs scanned.
+    pub fn repartition_carrying(
+        &self,
+        inc: &IncrementalGraph,
+        old_part: &Partitioning,
+        carried: &mut CarriedLayering,
+    ) -> (Partitioning, IgpReport) {
         assert_eq!(
             old_part.num_vertices(),
             inc.old().num_vertices(),
@@ -82,6 +97,7 @@ impl IncrementalPartitioner {
         );
         let g = inc.new_graph();
         let mut timings = PhaseTimings::default();
+        carried.follow(inc);
 
         let t = Instant::now();
         let (assign_vec, assign_report) = assign_new_vertices(inc, old_part);
@@ -89,7 +105,7 @@ impl IncrementalPartitioner {
         timings.assign = t.elapsed();
 
         let t = Instant::now();
-        let balance_outcome = balance(g, &mut part, &self.cfg);
+        let balance_outcome = balance_carried(g, &mut part, &self.cfg, carried);
         timings.balance = t.elapsed();
 
         let refine_outcome = if self.with_refinement {

@@ -10,12 +10,14 @@
 //! balancing becomes infeasible.
 
 use crate::config::IgpConfig;
+use crate::layer::CarriedLayering;
 use crate::parallel::ParallelPartitioner;
 use crate::partitioner::IncrementalPartitioner;
 use igp_graph::coalesce::{CoalesceError, DeltaCoalescer};
 use igp_graph::metrics::CutMetrics;
 use igp_graph::{CsrGraph, GraphDelta, IncrementalGraph, NodeId, Partitioning, INVALID_NODE};
 use igp_runtime::CostModel;
+use std::sync::Arc;
 
 // The serving layer hands sessions across threads (one registry shard
 // can be locked from any connection handler); keep every driver
@@ -29,7 +31,7 @@ const _: () = {
 };
 
 /// Summary of one session step.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StepSummary {
     /// Step index (0-based).
     pub step: usize,
@@ -69,10 +71,17 @@ struct Repartitioned {
 }
 
 impl Driver {
-    fn repartition(&self, inc: &IncrementalGraph, old: &Partitioning) -> Repartitioned {
+    /// Repartition `inc` from `old`. The sequential driver carries its
+    /// balance layering in `carried`; the SPMD driver layers afresh.
+    fn repartition(
+        &self,
+        inc: &IncrementalGraph,
+        old: &Partitioning,
+        carried: &mut CarriedLayering,
+    ) -> Repartitioned {
         match self {
             Driver::Sequential(p) => {
-                let (part, report) = p.repartition(inc, old);
+                let (part, report) = p.repartition_carrying(inc, old, carried);
                 let pivots = report
                     .balance
                     .stages
@@ -146,7 +155,8 @@ enum DriverKind {
 /// assert_eq!(session.history().len(), 3);
 /// ```
 pub struct IgpSession {
-    graph: CsrGraph,
+    /// Shared with the step's [`IncrementalGraph`] instead of copied.
+    graph: Arc<CsrGraph>,
     part: Partitioning,
     driver: Driver,
     history: Vec<StepSummary>,
@@ -169,6 +179,11 @@ pub struct IgpSession {
     /// Cut edges of (`graph`, `part`) when a step just measured them;
     /// `None` after the partitioning was replaced from outside.
     last_cut: Option<u64>,
+    /// The sequential driver's balance layering, carried from step to
+    /// step and repaired around each step's changes. Empty at start and
+    /// after [`IgpSession::rehydrate`], and while a step runs (a step
+    /// that panics leaves it empty).
+    layering: CarriedLayering,
 }
 
 /// Persisted session state consumed by [`IgpSession::rehydrate`]: what
@@ -203,7 +218,7 @@ impl IgpSession {
         };
         let base = (0..graph.num_vertices() as NodeId).collect();
         IgpSession {
-            graph,
+            graph: Arc::new(graph),
             part,
             driver: Driver::Sequential(partitioner),
             history: Vec::new(),
@@ -213,6 +228,7 @@ impl IgpSession {
             prior_steps: 0,
             prior_moved: 0,
             last_cut: None,
+            layering: CarriedLayering::new(),
         }
     }
 
@@ -232,7 +248,7 @@ impl IgpSession {
         let partitioner = ParallelPartitioner::new(cfg, workers, refined, CostModel::cm5());
         let base = (0..graph.num_vertices() as NodeId).collect();
         IgpSession {
-            graph,
+            graph: Arc::new(graph),
             part,
             driver: Driver::Parallel(partitioner),
             history: Vec::new(),
@@ -242,6 +258,7 @@ impl IgpSession {
             prior_steps: 0,
             prior_moved: 0,
             last_cut: None,
+            layering: CarriedLayering::new(),
         }
     }
 
@@ -280,7 +297,7 @@ impl IgpSession {
             ))
         };
         IgpSession {
-            graph: seed.graph,
+            graph: Arc::new(seed.graph),
             part: seed.part,
             driver,
             history: Vec::new(),
@@ -290,6 +307,7 @@ impl IgpSession {
             prior_steps: seed.steps,
             prior_moved: seed.total_moved,
             last_cut: None,
+            layering: CarriedLayering::new(),
         }
     }
 
@@ -299,7 +317,7 @@ impl IgpSession {
     /// them through [`IgpSession::queue_delta`] after rehydration.
     pub fn seed(&self) -> SessionSeed {
         SessionSeed {
-            graph: self.graph.clone(),
+            graph: CsrGraph::clone(&self.graph),
             part: self.part.clone(),
             base_of_current: self.base_of_current.clone(),
             steps: self.steps(),
@@ -347,7 +365,7 @@ impl IgpSession {
 
     /// Apply an edit list to the current graph and repartition.
     pub fn apply_delta(&mut self, delta: &GraphDelta) -> StepSummary {
-        let inc = delta.apply(&self.graph);
+        let inc = delta.apply_shared(Arc::clone(&self.graph));
         self.apply_increment(inc)
     }
 
@@ -462,7 +480,9 @@ impl IgpSession {
             DriverKind::Sequential => (&m.repartition_us_seq, &m.repartitions_total_seq),
             DriverKind::Parallel => (&m.repartition_us_par, &m.repartitions_total_par),
         };
-        let r = rep_us.time(|| self.driver.repartition(&inc, &self.part));
+        let mut carried = std::mem::take(&mut self.layering);
+        let r = rep_us.time(|| self.driver.repartition(&inc, &self.part, &mut carried));
+        self.layering = carried;
         reps.inc();
         m.pivots_total.add(r.pivots);
         m.moved_vertices_total.add(r.moved);
@@ -481,7 +501,7 @@ impl IgpSession {
             }
         }
         self.base_of_current = base;
-        self.graph = inc.into_new_graph();
+        self.graph = Arc::new(inc.into_new_graph());
         self.part = r.part;
         self.last_cut = Some(summary.cut);
         self.needs_scratch |= !summary.balanced;
@@ -722,6 +742,27 @@ mod tests {
         assert_eq!(s.graph().num_vertices(), 72);
     }
 
+    /// A delta refused by the splice leaves the shared graph as it was,
+    /// and the session keeps stepping (from a carried layering).
+    #[test]
+    fn rejected_delta_keeps_graph() {
+        let mut s = start();
+        s.apply_delta(&generators::localized_growth_delta(s.graph(), 0, 4, 0));
+        let before = s.graph().clone();
+        let bad = GraphDelta {
+            remove_edges: vec![(0, 63)],
+            ..Default::default()
+        };
+        let refused =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.apply_delta(&bad)));
+        assert!(refused.is_err());
+        assert_eq!(s.graph(), &before);
+        assert_eq!(Arc::strong_count(&s.graph), 1);
+        let sum = s.apply_delta(&generators::localized_growth_delta(s.graph(), 9, 4, 1));
+        assert!(sum.balanced);
+        s.partitioning().validate(s.graph()).unwrap();
+    }
+
     #[test]
     #[should_panic(expected = "queued deltas pending")]
     fn apply_increment_rejected_while_queue_pending() {
@@ -767,6 +808,76 @@ mod tests {
         assert_eq!(s.base_of_current()[9], 9);
         assert_eq!(s.base_of_current()[10], 11);
         assert_eq!(s.graph().num_vertices(), 67);
+    }
+
+    /// One step of a mixed stream: localized growth, or churn with vertex
+    /// and edge removals (which renumber the survivors).
+    fn mixed_delta(g: &CsrGraph, k: u64, grow: usize, churn: usize) -> GraphDelta {
+        let h = k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        if k % 3 == 2 {
+            generators::random_churn_delta(g, churn, churn, h)
+        } else {
+            let center = (h >> 20) as usize % g.num_vertices();
+            generators::localized_growth_delta(g, center as NodeId, grow, h)
+        }
+    }
+
+    /// A session carrying its layering from step to step, and one
+    /// rehydrated from its own seed before every step (so every balance
+    /// stage starts from a cold carrier), give identical partitions and
+    /// step summaries; the carried session does take the repair path.
+    #[test]
+    fn carried_layering_matches_rehydrated_every_step() {
+        let g = generators::grid(30, 30);
+        let assign: Vec<PartId> = (0..900).map(|v| ((v % 30) * 8 / 30) as PartId).collect();
+        let part = Partitioning::from_assignment(&g, 8, assign);
+        let mut carried = IgpSession::new(g, part, IgpConfig::new(8), true);
+        let mut cold = IgpSession::rehydrate(carried.seed(), IgpConfig::new(8), true, 0);
+        for k in 0..14 {
+            let d = mixed_delta(carried.graph(), k, 12, 6);
+            cold = IgpSession::rehydrate(cold.seed(), IgpConfig::new(8), true, 0);
+            let a = carried.apply_delta(&d);
+            let b = cold.apply_delta(&d);
+            assert_eq!(a, b, "step {k}");
+            assert_eq!(
+                carried.partitioning().assignment(),
+                cold.partitioning().assignment(),
+                "step {k}"
+            );
+        }
+        assert_eq!(carried.graph(), cold.graph());
+        let (repairs, _) = carried.layering.counts();
+        assert!(repairs > 0, "the carried session never repaired");
+    }
+
+    /// Scale check of the carried layering (run in release by CI):
+    /// 30 mixed growth and churn steps with removals on a 160 000-vertex
+    /// grid. Every balance stage's repaired layering is compared with
+    /// `layer_partitions` inside `CarriedLayering::layer` (test builds
+    /// always check), and every step's partition with the stateless
+    /// `IncrementalPartitioner::repartition` of the same increment.
+    #[test]
+    #[ignore = "160k-vertex scale check; run with --release -- --ignored"]
+    fn carried_layering_at_scale() {
+        let side = 400;
+        let g = generators::grid(side, side);
+        let assign: Vec<PartId> = (0..side * side)
+            .map(|v| ((v % side) * 16 / side) as PartId)
+            .collect();
+        let part = Partitioning::from_assignment(&g, 16, assign);
+        let cfg = IgpConfig::new(16);
+        let stateless = IncrementalPartitioner::igpr(cfg.clone());
+        let mut s = IgpSession::new(g, part, cfg, true);
+        for k in 0..30 {
+            let d = mixed_delta(s.graph(), k, 50, 40);
+            let inc = d.apply(s.graph());
+            let (want, _) = stateless.repartition(&inc, s.partitioning());
+            let sum = s.apply_delta(&d);
+            assert!(sum.balanced, "step {k}");
+            assert_eq!(s.partitioning().assignment(), want.assignment(), "step {k}");
+        }
+        let (repairs, fulls) = s.layering.counts();
+        assert!(repairs > fulls, "repairs {repairs}, full layerings {fulls}");
     }
 
     /// Rehydrating from a seed is observationally identical to the

@@ -9,6 +9,7 @@
 
 use crate::csr::CsrGraph;
 use crate::{NodeId, Weight, INVALID_NODE};
+use std::sync::Arc;
 
 /// Why a [`GraphDelta`] is malformed with respect to a graph of `n_old`
 /// vertices.
@@ -189,7 +190,20 @@ impl GraphDelta {
     /// removed neighbours are filtered out, and the few added half-edges
     /// (sorted once) merge into it. O(n + m + a·log a) for `a` added
     /// edges, with no per-row sort.
+    ///
+    /// The pair keeps a copy of `old`; a caller that already holds its
+    /// graph in an [`Arc`] shares it through [`GraphDelta::apply_shared`]
+    /// instead.
     pub fn apply(&self, old: &CsrGraph) -> IncrementalGraph {
+        self.apply_shared(Arc::new(old.clone()))
+    }
+
+    /// [`GraphDelta::apply`] on a shared old graph: the pair holds
+    /// `old` by reference count instead of copying it. A malformed delta
+    /// panics before the pair exists, leaving the caller's graph as it
+    /// was. The pair also records the vertices whose adjacency changed
+    /// ([`IncrementalGraph::edited_vertices`]).
+    pub fn apply_shared(&self, old: Arc<CsrGraph>) -> IncrementalGraph {
         let n_old = old.num_vertices();
         let n_ext = n_old + self.add_vertices.len();
         // Extended-id space: old ids ∪ added ids; mark removals.
@@ -262,6 +276,7 @@ impl GraphDelta {
             adj.push(u);
             ewgt.push(w);
         };
+        let mut edited: Vec<NodeId> = Vec::new();
         let (mut a, mut k) = (0usize, 0usize);
         for ext in 0..n_ext {
             if removed[ext] {
@@ -269,6 +284,10 @@ impl GraphDelta {
             }
             let v = new_of_ext[ext];
             let row_start = adj.len();
+            let added_from = a;
+            // An added vertex is edited; an old row is edited when it
+            // loses a half-edge or gains one (checked after the merge).
+            let mut row_edited = ext >= n_old;
             if ext < n_old {
                 let x = ext as NodeId;
                 vwgt.push(old.vertex_weight(x));
@@ -281,9 +300,11 @@ impl GraphDelta {
                     }
                     if k < kill_half.len() && kill_half[k] == (x, u) {
                         k += 1;
+                        row_edited = true;
                         continue;
                     }
                     if removed[u as usize] {
+                        row_edited = true;
                         continue;
                     }
                     let nu = new_of_ext[u as usize];
@@ -300,6 +321,9 @@ impl GraphDelta {
                 push(&mut adj, row_start, v, added[a].1, added[a].2);
                 a += 1;
             }
+            if row_edited || a != added_from {
+                edited.push(v);
+            }
             xadj.push(adj.len() as u32);
         }
         let new = CsrGraph::from_parts(xadj, adj, ewgt, vwgt);
@@ -311,10 +335,11 @@ impl GraphDelta {
         }
         new_of_ext.truncate(n_old);
         IncrementalGraph {
-            old: old.clone(),
+            old,
             new,
             old_of_new,
             new_of_old: new_of_ext,
+            edited: Some(edited),
         }
     }
 }
@@ -323,13 +348,18 @@ impl GraphDelta {
 ///
 /// `old_of_new[v']` is the old id of the surviving vertex `v'`, or
 /// [`INVALID_NODE`] if `v'` is newly added; `new_of_old` is the inverse
-/// (with [`INVALID_NODE`] for deleted vertices).
+/// (with [`INVALID_NODE`] for deleted vertices). The old graph is held
+/// by reference count, so a pair made by [`GraphDelta::apply_shared`]
+/// shares it with its owner.
 #[derive(Clone, Debug)]
 pub struct IncrementalGraph {
-    old: CsrGraph,
+    old: Arc<CsrGraph>,
     new: CsrGraph,
     old_of_new: Vec<NodeId>,
     new_of_old: Vec<NodeId>,
+    /// New ids of the vertices whose adjacency changed, ascending; only
+    /// known when the pair came from an edit list.
+    edited: Option<Vec<NodeId>>,
 }
 
 impl IncrementalGraph {
@@ -355,10 +385,11 @@ impl IncrementalGraph {
             }
         }
         IncrementalGraph {
-            old,
+            old: Arc::new(old),
             new,
             old_of_new,
             new_of_old,
+            edited: None,
         }
     }
 
@@ -399,6 +430,17 @@ impl IncrementalGraph {
     /// Consume the pair, keeping only the graph after the change.
     pub fn into_new_graph(self) -> CsrGraph {
         self.new
+    }
+
+    /// New ids (ascending) of the vertices whose adjacency the increment
+    /// changed: every added vertex, every survivor that gained or lost
+    /// an edge, and every survivor that lost a removed neighbour. Known
+    /// only for pairs made from an edit list ([`GraphDelta::apply`],
+    /// [`GraphDelta::apply_shared`]), whose survivors also keep their
+    /// relative order with the added vertices after them; `None` for
+    /// pairs built from two graphs.
+    pub fn edited_vertices(&self) -> Option<&[NodeId]> {
+        self.edited.as_deref()
     }
 
     /// Old id of new vertex `v`, or [`INVALID_NODE`] if `v` was added.
@@ -596,6 +638,51 @@ mod tests {
         Ok(())
     }
 
+    /// The splice's edited rows cover every vertex whose neighbour set
+    /// changed (added vertices included) and name nothing else but the
+    /// endpoints of explicitly added or removed edges.
+    fn assert_edited_rows(d: &GraphDelta, inc: &IncrementalGraph) -> TestCaseResult {
+        let edited = inc
+            .edited_vertices()
+            .expect("an applied delta knows its edited rows");
+        prop_assert!(edited.windows(2).all(|w| w[0] < w[1]));
+        let (old, new) = (inc.old(), inc.new_graph());
+        let mut endpoints = vec![false; new.num_vertices()];
+        let n_old = old.num_vertices();
+        let new_of_ext = |x: NodeId| {
+            if (x as usize) < n_old {
+                inc.new_of_old(x)
+            } else {
+                (inc.num_survivors() + x as usize - n_old) as NodeId
+            }
+        };
+        let explicit = d.add_edges.iter().map(|&(u, v, _)| (u, v));
+        for (u, v) in explicit.chain(d.remove_edges.iter().copied()) {
+            endpoints[new_of_ext(u) as usize] = true;
+            endpoints[new_of_ext(v) as usize] = true;
+        }
+        for v in new.vertices() {
+            let o = inc.old_of_new(v);
+            let changed = o == INVALID_NODE || {
+                let mut now: Vec<NodeId> = new
+                    .neighbors(v)
+                    .iter()
+                    .map(|&u| inc.old_of_new(u))
+                    .collect();
+                now.sort_unstable();
+                now != old.neighbors(o)
+            };
+            let marked = edited.binary_search(&v).is_ok();
+            prop_assert!(!changed || marked, "vertex {} changed but not edited", v);
+            prop_assert!(
+                !marked || changed || endpoints[v as usize],
+                "vertex {} edited",
+                v
+            );
+        }
+        Ok(())
+    }
+
     /// The panic message of `f`, or `None` if it returned.
     fn panic_message(f: impl FnOnce() -> IncrementalGraph) -> Option<String> {
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
@@ -619,7 +706,7 @@ mod tests {
         /// The splice equals the rebuild on chains of growth and churn
         /// deltas (vertex and edge removals included, added edges with
         /// mixed weights) over grids, triangulated meshes and random
-        /// geometric graphs.
+        /// geometric graphs, and reports exactly the rows it edited.
         #[test]
         fn splice_equals_rebuild(family in 0usize..3, side in 2usize..12, seed in any::<u64>()) {
             let mut g = match family {
@@ -641,6 +728,7 @@ mod tests {
                 }
                 let inc = d.apply(&g);
                 assert_same_increment(&inc, &apply_by_rebuild(&d, &g))?;
+                assert_edited_rows(&d, &inc)?;
                 g = inc.into_new_graph();
             }
         }
@@ -754,6 +842,33 @@ mod tests {
         let inc = delta.apply(&path5());
         assert_eq!(inc.new_graph(), inc.old());
         assert!(inc.diff().is_empty());
+    }
+
+    #[test]
+    fn apply_shared_shares_and_rejection_keeps_old() {
+        let g = Arc::new(path5());
+        let grow = GraphDelta {
+            add_vertices: vec![1],
+            add_edges: vec![(4, 5, 1)],
+            ..Default::default()
+        };
+        let inc = grow.apply_shared(Arc::clone(&g));
+        assert!(
+            std::ptr::eq(inc.old(), &*g),
+            "the old graph is shared, not copied"
+        );
+        assert_eq!(inc.new_graph(), grow.apply(&g).new_graph());
+        assert_eq!(inc.edited_vertices(), Some(&[4, 5][..]));
+        drop(inc);
+        let bad = GraphDelta {
+            remove_edges: vec![(0, 4)],
+            ..Default::default()
+        };
+        let shared = Arc::clone(&g);
+        let refused = std::panic::catch_unwind(move || bad.apply_shared(shared));
+        assert!(refused.is_err());
+        assert_eq!(Arc::strong_count(&g), 1);
+        assert_eq!(*g, path5());
     }
 
     #[test]

@@ -278,6 +278,8 @@ fn metrics_exposition_covers_all_layers() {
         "igp_core_edge_cut_before",
         "igp_core_edge_cut_after",
         "igp_core_coalesced_batch_deltas",
+        "igp_core_layerings_total",
+        "igp_core_layering_repair_vertices",
         "igp_store_wal_append_us",
         "igp_store_wal_frames_total",
         "igp_store_snapshot_us",
@@ -309,6 +311,12 @@ fn metrics_exposition_covers_all_layers() {
     assert!(metric_value(&text, "igp_core_coalesced_batch_deltas_count") >= steps as f64);
     // Present with a sane (non-negative) value; may legitimately be 0.
     assert!(metric_value(&text, "igp_core_pivots_total") >= 0.0);
+    // Both layering paths are exposed, so a scrape tells which one the
+    // sessions take.
+    for mode in ["repair", "full"] {
+        let series = format!("igp_core_layerings_total{{mode=\"{mode}\"}}");
+        assert!(metric_value(&text, &series) >= 0.0, "{series}");
+    }
 
     cli.close("obs").expect("close");
     cli.shutdown().expect("shutdown");
